@@ -11,7 +11,9 @@
 #                                        # benchmarks cannot bit-rot between perf PRs
 #   scripts/check.sh --asan              # additionally build the whole tier-1 suite under
 #                                        # AddressSanitizer+UBSan and run it (alongside the
-#                                        # existing TSan set, which stays thread-focused)
+#                                        # existing TSan set, which stays thread-focused),
+#                                        # then rerun concurrency_stress_test until it fails,
+#                                        # up to 20 times
 #   SKIP_TSAN=1 scripts/check.sh         # tier-1 only
 #
 # Also fails fast if any tests/*_test.cc is missing from the registered ctest targets, so a
@@ -132,11 +134,15 @@ if [[ "$ASAN" == "1" ]]; then
   cmake --build build-asan -j "$JOBS"
   (cd build-asan && UBSAN_OPTIONS=halt_on_error=1 \
       ctest --output-on-failure -j "$JOBS" ${LABELS:+-L "$LABELS"})
+  # The stress suite races lock-free hitters against touch-buffer drains, eviction and the
+  # invalidation stream; one green run says little about an interleaving bug, so repeat it.
+  (cd build-asan && UBSAN_OPTIONS=halt_on_error=1 \
+      ctest --output-on-failure -R '^concurrency_stress_test$' --repeat until-fail:20)
 fi
 
 # --- benchmark smoke (opt-in) -------------------------------------------------
-# Release-builds every bench/micro_* binary with -DTXCACHE_LOCK_STATS=OFF — the measured hot
-# path must carry no lock-acquisition accounting — and runs it with tiny iteration counts.
+# Release-builds every bench/micro_* binary — from the same sources, with the same options, as
+# the tier-1 build above; only the build type differs — and runs it with tiny iteration counts.
 # Gates are disabled (TXCACHE_BENCH_GATE=0): the point is that the binaries still build and
 # run end to end (including the micro_lookup_hotpath thread sweep), not that a 0.2 s run
 # clears a throughput bar. Smoke-run BENCH_*.json artifacts land in build-bench/ — NOT the
@@ -148,7 +154,7 @@ if [[ "$BENCH_SMOKE" == "1" ]]; then
   for src in bench/micro_*.cc; do
     micro_targets+=("bench_$(basename "$src" .cc)")
   done
-  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release -DTXCACHE_LOCK_STATS=OFF
+  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-bench -j "$JOBS" --target "${micro_targets[@]}"
   for target in "${micro_targets[@]}"; do
     echo "check.sh: bench smoke: $target"

@@ -82,14 +82,6 @@ CacheShard* CacheServer::ShardForHash(uint64_t key_hash) const {
   return shards_[ShardIndexForHash(key_hash)].get();
 }
 
-uint64_t CacheServer::exclusive_lock_acquisitions() const {
-  uint64_t n = 0;
-  for (const auto& shard : shards_) {
-    n += shard->exclusive_lock_acquisitions();
-  }
-  return n;
-}
-
 bool CacheServer::CheckServing() {
   NodeState s = state_.load(std::memory_order_acquire);
   if (s == NodeState::kServing) {
@@ -110,7 +102,7 @@ bool CacheServer::CheckServing() {
 void CacheServer::FillUnavailable(LookupResponse* resp) {
   *resp = LookupResponse{};
   resp->miss = MissKind::kNodeUnavailable;
-  unavailable_misses_.fetch_add(1, std::memory_order_relaxed);
+  Bump(node_stats_.nodes_unavailable);
 }
 
 void CacheServer::Crash() {
@@ -155,9 +147,9 @@ Status CacheServer::Join(InvalidationBus* bus) {
       for (auto& shard : shards_) {
         shard->AdoptStreamPosition(adopted_ts, /*raise_history_floor=*/true);
       }
-      join_flushes_.fetch_add(1, std::memory_order_relaxed);
+      Bump(node_stats_.join_flushes);
     } else if (replay.ok()) {
-      join_catchups_.fetch_add(1, std::memory_order_relaxed);
+      Bump(node_stats_.join_catchups);
     }
   }
   // Only now may the barrier drop: every flush/floor side effect above is complete, so a
@@ -212,7 +204,7 @@ bool CacheServer::TryRestoreFromSnapshot(InvalidationBus* bus, uint64_t target,
       }
     }
   }
-  join_snapshot_restores_.fetch_add(1, std::memory_order_relaxed);
+  Bump(node_stats_.join_snapshot_restores);
   return true;
 }
 
@@ -400,7 +392,7 @@ Status CacheServer::AdmitInsert(const InsertRequest& req, const std::string& fun
       // Over the profile cap: unprofiled functions are never watermark-declined, but the
       // per-entry size gate still applies (it needs no profile).
       if (!size_gate.ok()) {
-        admission_rejects_too_large_.fetch_add(1, std::memory_order_relaxed);
+        Bump(node_stats_.admission_rejects_too_large);
       }
       return size_gate;
     }
@@ -413,7 +405,7 @@ Status CacheServer::AdmitInsert(const InsertRequest& req, const std::string& fun
   p.fill_cost_total_us += req.fill_cost_us;
   if (!size_gate.ok()) {
     ++p.too_large;
-    admission_rejects_too_large_.fetch_add(1, std::memory_order_relaxed);
+    Bump(node_stats_.admission_rejects_too_large);
     *hints = PublishHintsLocked(function, p);
     return size_gate;
   }
@@ -430,11 +422,11 @@ Status CacheServer::AdmitInsert(const InsertRequest& req, const std::string& fun
         p.rejects % options_.admission_probe_interval == 0) {
       // Periodic probe: admit anyway so a function whose workload turned hot can re-earn
       // admission through the realized hits of this entry.
-      admission_probes_.fetch_add(1, std::memory_order_relaxed);
+      Bump(node_stats_.admission_probes);
       *hints = PublishHintsLocked(function, p);
       return Status::Ok();
     }
-    admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+    Bump(node_stats_.admission_rejects);
     *hints = PublishHintsLocked(function, p);
     return Status::Declined("benefit-per-byte below admission watermark");
   }
@@ -529,7 +521,7 @@ void CacheServer::Deliver(const InvalidationMessage& msg) {
 }
 
 void CacheServer::ApplySequenced(const InvalidationMessage& msg) {
-  invalidation_messages_.fetch_add(1, std::memory_order_relaxed);
+  Bump(node_stats_.invalidation_messages);
   for (auto& shard : shards_) {
     bool due = false;
     shard->ApplyInvalidation(msg, &due);
@@ -605,7 +597,7 @@ void CacheServer::EvictToFit() {
       break;
     }
     capacity_evictions_.fetch_add(1, std::memory_order_relaxed);
-    eviction_bytes_reclaimed_.fetch_add(evicted->bytes, std::memory_order_relaxed);
+    Bump(node_stats_.eviction_bytes_reclaimed, evicted->bytes);
     if (options_.policy == EvictionPolicy::kCostAware) {
       // Fold the victim's realized benefit-per-byte (what its residency actually earned) back
       // into its function's admission profile: functions whose entries die unhit drift below
@@ -764,25 +756,14 @@ std::vector<InsertRequest> CacheServer::ExportHotKeys(size_t max_keys) {
 }
 
 CacheStats CacheServer::stats() const {
-  CacheStats total;
-  for (const auto& shard : shards_) {
-    total += shard->stats();  // shard partials leave the node-level counters at zero
-  }
-  total.invalidation_messages = invalidation_messages_.load(std::memory_order_relaxed);
-  total.reorder_buffered = sequencer_.reorder_buffered();
-  total.eviction_bytes_reclaimed = eviction_bytes_reclaimed_.load(std::memory_order_relaxed);
-  total.admission_rejects = admission_rejects_.load(std::memory_order_relaxed);
-  total.admission_probes = admission_probes_.load(std::memory_order_relaxed);
-  total.admission_rejects_too_large =
-      admission_rejects_too_large_.load(std::memory_order_relaxed);
+  CacheStats total = node_stats_.Snapshot();
   // Lookups refused while down/joining count as lookups too, so hit_rate() reflects the
   // traffic the node turned away and hits + misses() still equals lookups.
-  const uint64_t unavailable = unavailable_misses_.load(std::memory_order_relaxed);
-  total.lookups += unavailable;
-  total.nodes_unavailable += unavailable;
-  total.join_catchups = join_catchups_.load(std::memory_order_relaxed);
-  total.join_flushes = join_flushes_.load(std::memory_order_relaxed);
-  total.join_snapshot_restores = join_snapshot_restores_.load(std::memory_order_relaxed);
+  total.lookups += total.nodes_unavailable;
+  for (const auto& shard : shards_) {
+    total += shard->stats();
+  }
+  total.reorder_buffered = sequencer_.reorder_buffered();
   return total;
 }
 
@@ -840,16 +821,8 @@ void CacheServer::ResetStats() {
   for (auto& shard : shards_) {
     shard->ResetStats();
   }
-  invalidation_messages_.store(0, std::memory_order_relaxed);
+  node_stats_.Reset();
   capacity_evictions_.store(0, std::memory_order_relaxed);
-  eviction_bytes_reclaimed_.store(0, std::memory_order_relaxed);
-  admission_rejects_.store(0, std::memory_order_relaxed);
-  admission_probes_.store(0, std::memory_order_relaxed);
-  admission_rejects_too_large_.store(0, std::memory_order_relaxed);
-  unavailable_misses_.store(0, std::memory_order_relaxed);
-  join_catchups_.store(0, std::memory_order_relaxed);
-  join_flushes_.store(0, std::memory_order_relaxed);
-  join_snapshot_restores_.store(0, std::memory_order_relaxed);
   // Function profiles are policy state, not counters: they survive a stats reset so the
   // admission gate keeps its learned benefit history between measurement windows.
   sequencer_.ResetStats();

@@ -200,11 +200,11 @@ class CacheServer : public InvalidationSubscriber {
   // never recomputed.
   size_t ShardIndexForHash(uint64_t key_hash) const;
   size_t ShardIndexForKey(const std::string& key) const;
-  // Lifetime total of exclusive shard-lock acquisitions across the node. Tests assert the
-  // read fast path's "a hit takes no exclusive lock" claim against this.
-  uint64_t exclusive_lock_acquisitions() const;
 
  private:
+  // Test-only: reaches a shard's lock (see CacheShard).
+  friend struct ShardLockTestPeer;
+
   // Admission bookkeeping per function. `hits` lives shard-side; everything else here.
   struct FunctionProfile {
     uint64_t fills = 0;
@@ -243,7 +243,7 @@ class CacheServer : public InvalidationSubscriber {
   Status InsertImpl(const InsertRequest& req, std::shared_ptr<const AdvisoryHints>* hints_out);
   // Join()'s warm path: restore the freshest stored snapshot if it is ahead of `position`,
   // then close the residual gap up to `target` (replay, or degraded close + floor raise).
-  // Returns true iff the node was restored (counted in join_snapshot_restores_); false means
+  // Returns true iff the node was restored (counted in join_snapshot_restores); false means
   // the caller falls through to the cold flush path with node state untouched or re-flushed.
   bool TryRestoreFromSnapshot(InvalidationBus* bus, uint64_t target, uint64_t position);
   // True iff the node may answer requests. Promotes kJoining to kServing when the sequencer
@@ -272,10 +272,6 @@ class CacheServer : public InvalidationSubscriber {
   // allowed only once the sequencer catches up to it.
   std::atomic<NodeState> state_{NodeState::kServing};
   std::atomic<uint64_t> join_target_{0};
-  std::atomic<uint64_t> unavailable_misses_{0};
-  std::atomic<uint64_t> join_catchups_{0};
-  std::atomic<uint64_t> join_flushes_{0};
-  std::atomic<uint64_t> join_snapshot_restores_{0};
 
   // Warm-rejoin persistence: optional, not owned. messages_since_snapshot_ drives the
   // periodic PersistSnapshot cadence from Deliver.
@@ -289,13 +285,11 @@ class CacheServer : public InvalidationSubscriber {
   std::function<void(CacheServer*)> replication_hook_;
   std::atomic<uint64_t> messages_since_replication_{0};
 
-  // Eviction/admission counters are node-level atomics (not per-shard, mutex-guarded partials)
-  // so stats() stays safe to call while the stress tests hammer Insert/EvictToFit.
   std::atomic<uint64_t> capacity_evictions_{0};
-  std::atomic<uint64_t> eviction_bytes_reclaimed_{0};
-  std::atomic<uint64_t> admission_rejects_{0};
-  std::atomic<uint64_t> admission_probes_{0};
-  std::atomic<uint64_t> admission_rejects_too_large_{0};
+  // The counters the frontend owns rather than a shard: stream messages, eviction bytes,
+  // admission declines/probes, lookups refused while not serving (nodes_unavailable) and
+  // join outcomes. Bumped through Bump() from any thread; stats() adds the shards' partials.
+  CacheStats node_stats_;
 
   mutable std::mutex fn_mu_;
   std::unordered_map<std::string, FunctionProfile> fn_profiles_;
@@ -304,8 +298,6 @@ class CacheServer : public InvalidationSubscriber {
   // fn_mu_ or a shard lock may be held when calling in, never the reverse).
   FunctionAdvisor advisor_;
 
-  // Messages applied in order (counted once per message, not per shard).
-  std::atomic<uint64_t> invalidation_messages_{0};
   // Set by the sequencer sink when a shard's op counter fires; the sweep itself runs in
   // Deliver, outside the sequencer's critical section.
   std::atomic<bool> sweep_pending_{false};

@@ -175,7 +175,7 @@ void CacheShard::DrainTouchesLocked() {
       // an earlier round (Reset raced a straggler). The live-set check makes all of those
       // inert; a stale-but-live pointer just re-touches at the version's own current tick.
       if (v != nullptr && live_.count(v) != 0) {
-        drain_scratch_.push_back(v);
+        drain_scratch_.emplace_back(0, v);
       }
     }
   }
@@ -183,19 +183,23 @@ void CacheShard::DrainTouchesLocked() {
   if (drain_scratch_.empty() && !overflowed) {
     return;
   }
-  // Unique versions, oldest current tick first: splicing to the front in ascending-tick order
-  // leaves lru_ fully sorted by last touch among the drained set.
+  // Unique versions, oldest tick first: splicing to the front in ascending-tick order leaves
+  // lru_ fully sorted by last touch among the drained set. Lock-free hitters keep storing
+  // ticks while this runs, so each tick is read ONCE into the pair and the sort compares the
+  // copies — a comparator that re-read the live atomics could see a key change mid-sort,
+  // which breaks std::sort's strict weak ordering (undefined behaviour).
+  std::sort(drain_scratch_.begin(), drain_scratch_.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
+  drain_scratch_.erase(
+      std::unique(drain_scratch_.begin(), drain_scratch_.end(),
+                  [](const auto& a, const auto& b) { return a.second == b.second; }),
+      drain_scratch_.end());
+  for (auto& [tick, v] : drain_scratch_) {
+    tick = v->touch_tick.load(std::memory_order_relaxed);
+  }
   std::sort(drain_scratch_.begin(), drain_scratch_.end());
-  drain_scratch_.erase(std::unique(drain_scratch_.begin(), drain_scratch_.end()),
-                       drain_scratch_.end());
-  std::sort(drain_scratch_.begin(), drain_scratch_.end(), [](Version* a, Version* b) {
-    return a->touch_tick.load(std::memory_order_relaxed) <
-           b->touch_tick.load(std::memory_order_relaxed);
-  });
-  for (Version* v : drain_scratch_) {
-    lru_.erase(v->lru_it);
-    lru_.push_front(v);
-    v->lru_it = lru_.begin();
+  for (const auto& [tick, v] : drain_scratch_) {
+    lru_.splice(lru_.begin(), lru_, v->lru_it);
     if (v->in_score_index) {
       // One refresh per hit batch instead of one per hit; the resulting score (current floor
       // + benefit-per-byte) is identical either way.
@@ -206,13 +210,20 @@ void CacheShard::DrainTouchesLocked() {
   }
   if (overflowed) {
     // Some touches never made it into the buffers; their recency lives only in the
-    // per-version ticks. Re-sort the whole list so LRU monotonicity (never evict a more
-    // recently touched version while a less recently touched one stays resident) survives
-    // the overflow. std::list::sort relinks nodes, so every Version::lru_it stays valid.
-    lru_.sort([](const Version* a, const Version* b) {
-      return a->touch_tick.load(std::memory_order_relaxed) >
-             b->touch_tick.load(std::memory_order_relaxed);
-    });
+    // per-version ticks. Re-sort the whole list, newest first, so LRU monotonicity (never
+    // evict a more recently touched version while a less recently touched one stays
+    // resident) survives the overflow. Same tick snapshot as above; splice relinks nodes, so
+    // every Version::lru_it stays valid.
+    std::vector<std::pair<uint64_t, Version*>> by_tick;
+    by_tick.reserve(version_count_);
+    for (Version* v : lru_) {
+      by_tick.emplace_back(v->touch_tick.load(std::memory_order_relaxed), v);
+    }
+    std::stable_sort(by_tick.begin(), by_tick.end(),
+                     [](const auto& a, const auto& b) { return a.first > b.first; });
+    for (const auto& [tick, v] : by_tick) {
+      lru_.splice(lru_.end(), lru_, v->lru_it);
+    }
     if (cost_aware()) {
       // Dropped records also skipped their per-function attribution; the hit_count deltas
       // still know about those hits, so a full fold keeps the profiles lossless.
@@ -249,23 +260,12 @@ Timestamp CacheShard::EffectiveUpper(const Version& v, Timestamp last_ts) {
 }
 
 LookupResponse CacheShard::Lookup(const LookupRequest& req, uint64_t key_hash) {
-  if (options_.read_path == ReadPath::kExclusiveCopy) {
-    std::unique_lock<InstrumentedSharedMutex> lock(mu_);
-    return LookupExclusive(req, key_hash);
-  }
   EbrDomain::Guard guard(domain_);
   return LookupRead(req, key_hash);
 }
 
 void CacheShard::LookupBatch(const MultiLookupRequest& req, const std::vector<uint32_t>& indices,
                              MultiLookupResponse* out) {
-  if (options_.read_path == ReadPath::kExclusiveCopy) {
-    std::unique_lock<InstrumentedSharedMutex> lock(mu_);
-    for (uint32_t i : indices) {
-      out->responses[i] = LookupExclusive(req.lookups[i], RequestKeyHash(req.lookups[i]));
-    }
-    return;
-  }
   EbrDomain::Guard guard(domain_);
   for (uint32_t i : indices) {
     out->responses[i] = LookupRead(req.lookups[i], RequestKeyHash(req.lookups[i]));
@@ -321,16 +321,16 @@ CacheShard::Version* CacheShard::MatchVersions(const LookupRequest& req, uint64_
 void CacheShard::CountMiss(MissKind kind, LookupStatsStripe* st) {
   switch (kind) {
     case MissKind::kCompulsory:
-      st->miss_compulsory.fetch_add(1, std::memory_order_relaxed);
+      Bump(st->counts.miss_compulsory);
       break;
     case MissKind::kConsistency:
-      st->miss_consistency.fetch_add(1, std::memory_order_relaxed);
+      Bump(st->counts.miss_consistency);
       break;
     case MissKind::kCapacity:
-      st->miss_capacity.fetch_add(1, std::memory_order_relaxed);
+      Bump(st->counts.miss_capacity);
       break;
     case MissKind::kStaleness:
-      st->miss_staleness.fetch_add(1, std::memory_order_relaxed);
+      Bump(st->counts.miss_staleness);
       break;
     default:
       break;
@@ -343,7 +343,7 @@ LookupResponse CacheShard::LookupRead(const LookupRequest& req, uint64_t key_has
   // truncation can only leave us with an equal-or-older snapshot, so a still-valid
   // observation yields an upper bound no wider than the truncating message's timestamp.
   LookupStatsStripe& st = lookup_stats_[StripeIndex()];
-  st.lookups.fetch_add(1, std::memory_order_relaxed);
+  Bump(st.counts.lookups);
   LookupResponse resp;
   const Timestamp last_ts = last_invalidation_ts_.load(std::memory_order_acquire);
   Version* best = MatchVersions(req, key_hash, last_ts, &resp);
@@ -351,7 +351,7 @@ LookupResponse CacheShard::LookupRead(const LookupRequest& req, uint64_t key_has
     CountMiss(resp.miss, &st);
     return resp;
   }
-  st.hits.fetch_add(1, std::memory_order_relaxed);
+  Bump(st.counts.hits);
   // Deferred touch: recency is published immediately through the atomic tick; the LRU splice,
   // score refresh and per-function attribution are queued for the next exclusive drain. When
   // the stripe is full the tick alone carries the recency and the drain repairs the order.
@@ -439,7 +439,7 @@ std::unordered_map<uint64_t, uint64_t> CacheShard::HarvestHotHashes() {
 
 std::vector<InsertRequest> CacheShard::ExportForReplication(
     const std::vector<uint64_t>& hashes) const {
-  std::shared_lock<InstrumentedSharedMutex> lock(mu_);
+  std::shared_lock lock(mu_);
   std::vector<InsertRequest> out;
   if (hashes.empty()) {
     return out;
@@ -489,45 +489,6 @@ std::vector<InsertRequest> CacheShard::ExportForReplication(
   return out;
 }
 
-LookupResponse CacheShard::LookupExclusive(const LookupRequest& req, uint64_t key_hash) {
-  // Benchmark baseline (ReadPath::kExclusiveCopy): the pre-fast-path cost profile — inline
-  // LRU/score/profile maintenance and deep-copied payloads under the exclusive lock.
-  LookupStatsStripe& st = lookup_stats_[StripeIndex()];
-  st.lookups.fetch_add(1, std::memory_order_relaxed);
-  LookupResponse resp;
-  const Timestamp last_ts = last_invalidation_ts_.load(std::memory_order_relaxed);
-  Version* best = MatchVersions(req, key_hash, last_ts, &resp);
-  if (best == nullptr) {
-    CountMiss(resp.miss, &st);
-    return resp;
-  }
-  st.hits.fetch_add(1, std::memory_order_relaxed);
-  lru_.erase(best->lru_it);
-  lru_.push_front(best);
-  best->lru_it = lru_.begin();
-  best->touch_tick.store(NextTick(touch_ticker_), std::memory_order_relaxed);
-  best->hit_count.fetch_add(1, std::memory_order_relaxed);
-  AttributeHitsLocked(best);
-  if (best->in_score_index) {
-    score_index_.erase(best->score_it);
-    AddToScoreIndexLocked(best);
-  }
-  resp.hit = true;
-  resp.value = std::make_shared<const std::string>(best->block->value);
-  if (best->block->has_hints) {
-    resp.hints = std::make_shared<const AdvisoryHints>(best->block->hints);
-  }
-  resp.fill_cost_us = best->fill_cost_us;
-  resp.intent_owner = best->intent_owner.load(std::memory_order_relaxed);
-  resp.still_valid = best->still_valid.load(std::memory_order_relaxed);
-  if (resp.still_valid) {
-    // Exclusive-path baseline: share the interned set directly (a second refcount is fine
-    // off the hot path).
-    resp.tags = best->block->tags;
-  }
-  return resp;
-}
-
 bool CacheShard::CountOpLocked() {
   if (++ops_since_sweep_ >= options_.sweep_interval_ops) {
     ops_since_sweep_ = 0;
@@ -538,7 +499,7 @@ bool CacheShard::CountOpLocked() {
 
 Status CacheShard::Insert(const InsertRequest& req, uint64_t key_hash, std::string function,
                           std::shared_ptr<const AdvisoryHints> hints, bool* sweep_due) {
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   DrainTouchesLocked();
   if (req.interval.empty()) {
     *sweep_due = CountOpLocked();
@@ -668,7 +629,7 @@ Status CacheShard::Insert(const InsertRequest& req, uint64_t key_hash, std::stri
 }
 
 void CacheShard::ApplyInvalidation(const InvalidationMessage& msg, bool* sweep_due) {
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   DrainTouchesLocked();
   const WallClock now = clock_->Now();
   std::vector<Version*> affected;
@@ -817,7 +778,7 @@ void CacheShard::RemoveVersionLocked(Version* v) {
 }
 
 std::optional<uint64_t> CacheShard::OldestTick() const {
-  std::shared_lock<InstrumentedSharedMutex> lock(mu_);
+  std::shared_lock lock(mu_);
   if (lru_.empty()) {
     return std::nullopt;
   }
@@ -825,7 +786,7 @@ std::optional<uint64_t> CacheShard::OldestTick() const {
 }
 
 std::optional<EvictionCandidate> CacheShard::PeekVictim() const {
-  std::shared_lock<InstrumentedSharedMutex> lock(mu_);
+  std::shared_lock lock(mu_);
   if (stale_lru_.empty() && score_index_.empty()) {
     return std::nullopt;
   }
@@ -843,7 +804,7 @@ std::optional<EvictionCandidate> CacheShard::PeekVictim() const {
 }
 
 std::vector<VictimPreview> CacheShard::PreviewVictims(size_t bytes_needed) const {
-  std::shared_lock<InstrumentedSharedMutex> lock(mu_);
+  std::shared_lock lock(mu_);
   std::vector<VictimPreview> out;
   const double floor = aging_floor_->load(std::memory_order_relaxed);
   size_t covered = 0;
@@ -891,7 +852,7 @@ std::vector<VictimPreview> CacheShard::PreviewVictims(size_t bytes_needed) const
 }
 
 std::optional<EvictedVersion> CacheShard::EvictOne() {
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   // Apply pending touches first: within this shard the eviction decision is then exact with
   // respect to every hit that completed before the lock was acquired.
   DrainTouchesLocked();
@@ -932,7 +893,7 @@ std::optional<EvictedVersion> CacheShard::EvictOne() {
 }
 
 std::unordered_map<std::string, uint64_t> CacheShard::FunctionHits() {
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   // Fold pending touches in first so profiles reflect every completed hit (the overflow
   // repair folds the whole LRU list, so dropped touch records cannot lose attribution).
   DrainTouchesLocked();
@@ -956,7 +917,7 @@ void CacheShard::SweepStale(const LifetimeSnapshot* learned) {
     own = advisor_->LifetimeSnapshot();
     learned = &own;
   }
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   DrainTouchesLocked();
   SweepStaleLocked();
   if (ttl_enabled) {
@@ -1070,7 +1031,7 @@ Timestamp CacheShard::EarliestInvalidationAfterLocked(const std::vector<Invalida
 }
 
 std::pair<uint64_t, std::string> CacheShard::ExportEntries() const {
-  std::shared_lock<InstrumentedSharedMutex> lock(mu_);
+  std::shared_lock lock(mu_);
   Writer w;
   // The shared lock excludes writers, so the writer-side iteration over the flat table is
   // stable here.
@@ -1100,7 +1061,7 @@ std::pair<uint64_t, std::string> CacheShard::ExportEntries() const {
 }
 
 void CacheShard::AdoptStreamPosition(Timestamp last_invalidation_ts, bool raise_history_floor) {
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   const Timestamp cur = last_invalidation_ts_.load(std::memory_order_relaxed);
   last_invalidation_ts_.store(std::max(cur, last_invalidation_ts), std::memory_order_release);
   if (raise_history_floor && last_invalidation_ts > history_floor_) {
@@ -1112,7 +1073,7 @@ void CacheShard::AdoptStreamPosition(Timestamp last_invalidation_ts, bool raise_
 }
 
 void CacheShard::CloseAllStillValid(Timestamp through) {
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   DrainTouchesLocked();
   const WallClock now = clock_->Now();
   std::vector<Version*> open;
@@ -1161,7 +1122,7 @@ IntentResponse CacheShard::AcquireIntent(const IntentRequest& req, uint64_t key_
     resp.status = Status::InvalidArgument("intent needs a nonzero owner token");
     return resp;
   }
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   auto [it, inserted] = intents_.try_emplace(req.key, req.txn_id);
   if (!inserted && it->second != req.txn_id) {
     ++stats_.intent_conflicts;
@@ -1178,7 +1139,7 @@ IntentResponse CacheShard::AcquireIntent(const IntentRequest& req, uint64_t key_
 }
 
 void CacheShard::ReleaseIntent(const IntentRequest& req, uint64_t key_hash) {
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   auto it = intents_.find(req.key);
   if (it == intents_.end() || it->second != req.txn_id) {
     return;  // idempotent: already released, or cleared wholesale by flush/crash/rejoin
@@ -1189,7 +1150,7 @@ void CacheShard::ReleaseIntent(const IntentRequest& req, uint64_t key_hash) {
 }
 
 size_t CacheShard::ClearIntents() {
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   const size_t dropped = intents_.size();
   if (dropped == 0) {
     return 0;
@@ -1202,7 +1163,7 @@ size_t CacheShard::ClearIntents() {
 }
 
 void CacheShard::Flush() {
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   // Intents die with the data: advisory state only, so dropping them wholesale is safe (the
   // owning transactions discover the loss at commit validation, not as staleness).
   stats_.intents_cleared += intents_.size();
@@ -1245,35 +1206,23 @@ void CacheShard::Flush() {
 }
 
 CacheStats CacheShard::stats() const {
-  std::shared_lock<InstrumentedSharedMutex> lock(mu_);
+  std::shared_lock lock(mu_);
   CacheStats s = stats_;
   for (size_t i = 0; i < stripe_count_; ++i) {
-    const LookupStatsStripe& st = lookup_stats_[i];
-    s.lookups += st.lookups.load(std::memory_order_relaxed);
-    s.hits += st.hits.load(std::memory_order_relaxed);
-    s.miss_compulsory += st.miss_compulsory.load(std::memory_order_relaxed);
-    s.miss_staleness += st.miss_staleness.load(std::memory_order_relaxed);
-    s.miss_capacity += st.miss_capacity.load(std::memory_order_relaxed);
-    s.miss_consistency += st.miss_consistency.load(std::memory_order_relaxed);
+    s += lookup_stats_[i].counts.Snapshot();
   }
   return s;
 }
 
 void CacheShard::ResetStats() {
-  std::unique_lock<InstrumentedSharedMutex> lock(mu_);
+  std::unique_lock lock(mu_);
   // Drain so pending per-function attribution lands before the profile counters are cleared,
   // then mark every resident version fully attributed — pre-reset hits must not leak into the
   // next window's profiles at a later drain.
   DrainTouchesLocked();
   stats_ = CacheStats{};
   for (size_t i = 0; i < stripe_count_; ++i) {
-    LookupStatsStripe& st = lookup_stats_[i];
-    st.lookups.store(0, std::memory_order_relaxed);
-    st.hits.store(0, std::memory_order_relaxed);
-    st.miss_compulsory.store(0, std::memory_order_relaxed);
-    st.miss_staleness.store(0, std::memory_order_relaxed);
-    st.miss_capacity.store(0, std::memory_order_relaxed);
-    st.miss_consistency.store(0, std::memory_order_relaxed);
+    lookup_stats_[i].counts.Reset();
   }
   fn_hits_.clear();
   for (Version* v : lru_) {
@@ -1282,17 +1231,17 @@ void CacheShard::ResetStats() {
 }
 
 size_t CacheShard::version_count() const {
-  std::shared_lock<InstrumentedSharedMutex> lock(mu_);
+  std::shared_lock lock(mu_);
   return version_count_;
 }
 
 size_t CacheShard::key_count() const {
-  std::shared_lock<InstrumentedSharedMutex> lock(mu_);
+  std::shared_lock lock(mu_);
   return table_.size();
 }
 
 Timestamp CacheShard::last_invalidation_ts() const {
-  std::shared_lock<InstrumentedSharedMutex> lock(mu_);
+  std::shared_lock lock(mu_);
   return last_invalidation_ts_.load(std::memory_order_relaxed);
 }
 

@@ -44,6 +44,7 @@
 #define SRC_CACHE_CACHE_SHARD_H_
 
 #include <atomic>
+#include <cstddef>
 #include <list>
 #include <map>
 #include <memory>
@@ -67,7 +68,6 @@
 #include "src/util/ebr.h"
 #include "src/util/hash.h"
 #include "src/util/serde.h"
-#include "src/util/shared_mutex.h"
 #include "src/util/status.h"
 
 namespace txcache {
@@ -222,17 +222,10 @@ class CacheShard {
   size_t key_count() const;
   Timestamp last_invalidation_ts() const;
 
-  // Lifetime count of exclusive acquisitions of this shard's lock. The read fast path's "a
-  // hit takes no exclusive lock" claim is asserted against this by tests and benchmarks.
-  uint64_t exclusive_lock_acquisitions() const { return mu_.exclusive_acquisitions(); }
-  uint64_t shared_lock_acquisitions() const { return mu_.shared_acquisitions(); }
-  // True when any touch-buffer stripe has overflowed since the last drain (diagnostic; tests
-  // use it to force-cover the overflow repair path).
-  bool touch_buffer_overflowed() const {
-    return touch_overflow_.load(std::memory_order_relaxed);
-  }
-
  private:
+  // Test-only: holds mu_ to prove structurally that lookups never take it.
+  friend struct ShardLockTestPeer;
+
   struct KeySlot;
 
   // The bytes a hit hands out, bundled so one control block covers the value, the tags and
@@ -373,8 +366,9 @@ class CacheShard {
     std::unique_ptr<Stripe[]> stripes_;
   };
 
-  // Per-thread-stripe lookup counters: the hit path bumps only its own stripe's cache line;
-  // stats() folds the stripes under the shared lock.
+  // Per-thread-stripe lookup counters: the hit path bumps only its own stripe's cache line
+  // (sample_ticker plus the first six CacheStats counters — lookups, hits and the four miss
+  // kinds — share the stripe's first line); stats() folds the stripes.
   //
   // The stripe also carries a tiny space-saving sketch of the hottest key hashes seen by its
   // threads, fed by every hot_key_sample_interval-th hit (one extra relaxed counter on the
@@ -386,21 +380,18 @@ class CacheShard {
   };
   static constexpr size_t kHotSlotsPerStripe = 8;
   struct alignas(64) LookupStatsStripe {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> miss_compulsory{0};
-    std::atomic<uint64_t> miss_staleness{0};
-    std::atomic<uint64_t> miss_capacity{0};
-    std::atomic<uint64_t> miss_consistency{0};
     std::atomic<uint64_t> sample_ticker{0};
+    CacheStats counts;  // bumped through Bump(); only the lookup counters are ever nonzero
     HotSample hot[kHotSlotsPerStripe];
   };
+  static_assert(offsetof(LookupStatsStripe, counts) + offsetof(CacheStats, miss_consistency) <
+                    64,
+                "a lookup must write only its stripe's first cache line");
 
   // Mutating *Locked helpers assume the EXCLUSIVE side of mu_ is held. MatchVersions and
-  // EffectiveUpper are the shared matching core: lock-free readers call them inside an EBR
-  // critical region with `last_ts` snapshotted ONCE before walking (so a racing truncation
-  // can only make the claimed upper more conservative); exclusive-side callers pass the
-  // current value.
+  // EffectiveUpper are the matching core: lock-free readers call them inside an EBR critical
+  // region with `last_ts` snapshotted ONCE before walking (so a racing truncation can only
+  // make the claimed upper more conservative).
   Version* MatchVersions(const LookupRequest& req, uint64_t key_hash, Timestamp last_ts,
                          LookupResponse* resp) const;
   static Timestamp EffectiveUpper(const Version& v, Timestamp last_ts);
@@ -408,7 +399,6 @@ class CacheShard {
   // Space-saving update of the stripe's hot-key sketch (relaxed, racy-by-design).
   static void RecordHotSample(LookupStatsStripe& st, uint64_t key_hash);
   LookupResponse LookupRead(const LookupRequest& req, uint64_t key_hash);  // EBR, no lock
-  LookupResponse LookupExclusive(const LookupRequest& req, uint64_t key_hash);
   void TruncateLocked(Version* v, Timestamp ts, WallClock wallclock);
   // Stores `token` into the ownership bit of every version published for `slot` (0 clears).
   void StampIntentLocked(KeySlot* slot, uint64_t token);
@@ -453,9 +443,8 @@ class CacheShard {
 
   // Writers (insert, invalidation, sweep, eviction, flush, reset) take the exclusive side;
   // the cold read-only accessors (PeekVictim, OldestTick, stats, ExportEntries, counts) take
-  // the shared side. Zero-copy lookups take NEITHER — they run under EBR. The instrumentation
-  // still backs the "a hit acquires no exclusive lock" acceptance test.
-  mutable InstrumentedSharedMutex mu_;
+  // the shared side. Zero-copy lookups take NEITHER — they run under EBR.
+  mutable std::shared_mutex mu_;
   FlatHashTable<KeySlot> table_;
   std::list<Version*> lru_;  // front = most recently used within this shard
   // Cost-aware structures (maintained only under EvictionPolicy::kCostAware).
@@ -474,7 +463,8 @@ class CacheShard {
   const size_t stripe_count_;
   StripedTouchBuffer touch_buffer_;
   std::atomic<bool> touch_overflow_{false};
-  std::vector<Version*> drain_scratch_;  // reused across drains; exclusive-lock-only
+  // (touch tick, version) pairs the drain sorts, reused across drains; exclusive-lock-only.
+  std::vector<std::pair<uint64_t, Version*>> drain_scratch_;
   std::unique_ptr<LookupStatsStripe[]> lookup_stats_;
 
   // Still-valid version registry: concrete tag -> versions carrying it; table -> versions

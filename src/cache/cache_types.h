@@ -3,12 +3,14 @@
 #define SRC_CACHE_CACHE_TYPES_H_
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/bus/invalidation.h"
 #include "src/util/hash.h"
+#include "src/util/counters.h"
 #include "src/util/interval.h"
 #include "src/util/status.h"
 #include "src/util/types.h"
@@ -282,18 +284,6 @@ enum class EvictionPolicy : uint8_t {
   kCostAware,
 };
 
-// How lookups traverse a shard. kSharedZeroCopy is the production path; kExclusiveCopy
-// reproduces the pre-fast-path behavior and exists so benchmarks can measure the difference
-// inside one binary.
-enum class ReadPath : uint8_t {
-  // Hits take the shard lock's SHARED side, alias the resident value/tag buffers (no deep
-  // copy) and defer all LRU/score/profile bookkeeping into a bounded per-shard touch buffer
-  // drained by the next exclusive-section operation.
-  kSharedZeroCopy,
-  // Baseline: exclusive lock per lookup, deep-copied payloads, inline LRU/score maintenance.
-  kExclusiveCopy,
-};
-
 // Tuning knobs for a cache node. Shared by the thin CacheServer frontend and its shards.
 struct CacheOptions {
   size_t capacity_bytes = 64 << 20;
@@ -313,7 +303,6 @@ struct CacheOptions {
   size_t num_shards = 8;
 
   // --- read fast path ---
-  ReadPath read_path = ReadPath::kSharedZeroCopy;
   // Per-shard capacity of the deferred-touch buffer. A hit whose record does not fit still
   // refreshes the version's recency tick atomically; the dropped policy refresh is repaired
   // at the next drain, which re-sorts the LRU order from the ticks (see docs/architecture.md
@@ -418,7 +407,7 @@ struct FunctionStatsEntry {
   double ewma_lifetime_us = 0.0;
 };
 
-struct CacheStats {
+struct CacheStats : CounterTable<CacheStats> {
   uint64_t lookups = 0;
   uint64_t hits = 0;
   uint64_t miss_compulsory = 0;
@@ -465,19 +454,6 @@ struct CacheStats {
   uint64_t intent_releases = 0;
   uint64_t intents_cleared = 0;
 
-  // Counter-wise accumulation (fleet aggregation) and difference (measurement-window deltas:
-  // end snapshot minus start snapshot). Both walk the single field list below, so a counter
-  // added to the struct but missed there is one local omission — not a silently wrong window
-  // delta hand-maintained in some distant benchmark.
-  CacheStats& operator+=(const CacheStats& o) {
-    ForEachPair(o, [](uint64_t& a, uint64_t b) { a += b; });
-    return *this;
-  }
-  CacheStats& operator-=(const CacheStats& o) {
-    ForEachPair(o, [](uint64_t& a, uint64_t b) { a -= b; });
-    return *this;
-  }
-
   uint64_t capacity_evictions() const {
     return evictions_lru + evictions_capacity_stale + evictions_cost;
   }
@@ -490,29 +466,25 @@ struct CacheStats {
     return lookups == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(lookups);
   }
 
- private:
-  template <typename Fn>
-  void ForEachPair(const CacheStats& o, Fn fn) {
-    uint64_t CacheStats::*fields[] = {
-        &CacheStats::lookups, &CacheStats::hits, &CacheStats::miss_compulsory,
-        &CacheStats::miss_staleness, &CacheStats::miss_capacity, &CacheStats::miss_consistency,
-        &CacheStats::inserts, &CacheStats::duplicate_inserts,
-        &CacheStats::invalidation_messages, &CacheStats::invalidation_truncations,
-        &CacheStats::insert_time_truncations, &CacheStats::evictions_lru,
-        &CacheStats::evictions_stale, &CacheStats::evictions_capacity_stale,
-        &CacheStats::evictions_cost, &CacheStats::eviction_bytes_reclaimed,
-        &CacheStats::admission_rejects, &CacheStats::admission_probes,
-        &CacheStats::admission_rejects_too_large, &CacheStats::ttl_demotions,
-        &CacheStats::reorder_buffered, &CacheStats::nodes_unavailable,
-        &CacheStats::join_catchups, &CacheStats::join_flushes,
-        &CacheStats::join_snapshot_restores, &CacheStats::intent_acquires,
-        &CacheStats::intent_conflicts, &CacheStats::intent_releases,
-        &CacheStats::intents_cleared};
-    for (auto field : fields) {
-      fn(this->*field, o.*field);
-    }
-  }
+  // One entry per counter above; +=, -=, Snapshot() and Reset() are generated from it.
+  static constexpr uint64_t CacheStats::*kCounters[] = {
+      &CacheStats::lookups, &CacheStats::hits, &CacheStats::miss_compulsory,
+      &CacheStats::miss_staleness, &CacheStats::miss_capacity, &CacheStats::miss_consistency,
+      &CacheStats::inserts, &CacheStats::duplicate_inserts,
+      &CacheStats::invalidation_messages, &CacheStats::invalidation_truncations,
+      &CacheStats::insert_time_truncations, &CacheStats::evictions_lru,
+      &CacheStats::evictions_stale, &CacheStats::evictions_capacity_stale,
+      &CacheStats::evictions_cost, &CacheStats::eviction_bytes_reclaimed,
+      &CacheStats::admission_rejects, &CacheStats::admission_probes,
+      &CacheStats::admission_rejects_too_large, &CacheStats::ttl_demotions,
+      &CacheStats::reorder_buffered, &CacheStats::nodes_unavailable,
+      &CacheStats::join_catchups, &CacheStats::join_flushes,
+      &CacheStats::join_snapshot_restores, &CacheStats::intent_acquires,
+      &CacheStats::intent_conflicts, &CacheStats::intent_releases,
+      &CacheStats::intents_cleared};
 };
+static_assert(sizeof(CacheStats) == std::size(CacheStats::kCounters) * sizeof(uint64_t),
+              "every CacheStats counter needs an entry in CacheStats::kCounters");
 
 }  // namespace txcache
 

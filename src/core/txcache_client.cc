@@ -5,6 +5,8 @@
 #include <chrono>
 #include <thread>
 
+#include "src/core/fill_cost.h"
+
 namespace txcache {
 
 TxCacheClient::TxCacheClient(Database* db, Pincushion* pincushion, CacheCluster* cache,
@@ -37,7 +39,7 @@ Status TxCacheClient::BeginRO(WallClock staleness) {
     acquired_pins_ = pincushion_->AcquireFreshPins(staleness);
     pin_set_.Reset(acquired_pins_, /*with_star=*/true);
   }
-  ++stats_.ro_txns;
+  Bump(stats_.ro_txns);
   return Status::Ok();
 }
 
@@ -50,7 +52,7 @@ Status TxCacheClient::BeginRW() {
   // Read/write transactions run directly on the database, bypassing the cache (§2.2).
   db_txn_ = db_->BeginReadWrite();
   chosen_ts_.reset();
-  ++stats_.rw_txns;
+  Bump(stats_.rw_txns);
   return Status::Ok();
 }
 
@@ -69,8 +71,8 @@ Status TxCacheClient::BeginRw() {
   rw_read_set_.clear();
   rw_intents_.clear();
   chosen_ts_.reset();
-  ++stats_.rw_txns;
-  ++stats_.rw_optimistic_txns;
+  Bump(stats_.rw_txns);
+  Bump(stats_.rw_optimistic_txns);
   return Status::Ok();
 }
 
@@ -94,7 +96,7 @@ Result<TxCacheClient::CachedValue> TxCacheClient::ReadInTx(const std::string& ke
     // A foreign write intent covers this key: its holder is about to invalidate what we just
     // read, so a commit racing it is likely doomed. Abort early (advisory — the caller
     // retries with backoff); commit validation would catch the stale read regardless.
-    ++stats_.rw_intent_conflicts;
+    Bump(stats_.rw_intent_conflicts);
     RecordMiss(MissKind::kConsistency);
     return Status::Conflict("cached read covered by a foreign write intent");
   }
@@ -113,8 +115,8 @@ Result<TxCacheClient::CachedValue> TxCacheClient::ReadInTx(const std::string& ke
   if (!entry.tags.empty()) {
     rw_read_set_.push_back(std::move(entry));
   }
-  ++stats_.cache_hits;
-  stats_.saved_recompute_cost_us += resp.fill_cost_us;
+  Bump(stats_.cache_hits);
+  Bump(stats_.saved_recompute_cost_us, resp.fill_cost_us);
   return std::move(resp.value);  // zero-copy alias, same contract as CacheLookup
 }
 
@@ -130,11 +132,11 @@ Status TxCacheClient::WriteIntent(const std::string& key) {
   ObserveRingEpoch(resp.ring_epoch);
   if (resp.status.ok()) {
     rw_intents_.emplace_back(key, req.key_hash);
-    ++stats_.rw_intents_acquired;
+    Bump(stats_.rw_intents_acquired);
     return Status::Ok();
   }
   if (resp.status.code() == StatusCode::kConflict) {
-    ++stats_.rw_intent_conflicts;
+    Bump(stats_.rw_intent_conflicts);
     return resp.status;  // early abort signal: another transaction got there first
   }
   // kUnavailable (down/joining/unroutable owner): the node serves no reads, so there is
@@ -154,14 +156,14 @@ Result<Timestamp> TxCacheClient::CommitRw() {
       db_->Abort(*db_txn_);
     }
     EndTransactionCleanup();  // releases the intents
-    ++stats_.aborts;
-    ++stats_.rw_aborts;
+    Bump(stats_.aborts);
+    Bump(stats_.rw_aborts);
     return info_or.status();
   }
   const Timestamp ts = info_or.value().ts;
   EndTransactionCleanup();
-  ++stats_.commits;
-  ++stats_.rw_commits;
+  Bump(stats_.commits);
+  Bump(stats_.rw_commits);
   return ts;
 }
 
@@ -186,7 +188,7 @@ Result<Timestamp> TxCacheClient::RunRwTransaction(const std::function<Status()>&
     if (outcome.code() != StatusCode::kConflict || attempt + 1 >= options_.rw_max_retries) {
       return outcome;  // non-retryable failure, or the retry budget is spent
     }
-    ++stats_.rw_retries;
+    Bump(stats_.rw_retries);
     RwBackoff(attempt);
   }
 }
@@ -237,7 +239,7 @@ Result<Timestamp> TxCacheClient::Commit() {
       // Commit-time failure (e.g. serialization conflict): the transaction is gone.
       db_->Abort(*db_txn_);
       EndTransactionCleanup();
-      ++stats_.aborts;
+      Bump(stats_.aborts);
       return info_or.status();
     }
     report = info_or.value().ts;
@@ -253,7 +255,7 @@ Result<Timestamp> TxCacheClient::Commit() {
     report = pin_set_.has_pins() ? pin_set_.newest().ts : db_->LatestCommitTs();
   }
   EndTransactionCleanup();
-  ++stats_.commits;
+  Bump(stats_.commits);
   return report;
 }
 
@@ -267,10 +269,10 @@ Status TxCacheClient::Abort() {
   if (state_ == TxnState::kOptimisticRw) {
     // An optimistic round abandoned before commit (intent conflict, read conflict surfaced by
     // the body) is an rw abort just like a failed validation.
-    ++stats_.rw_aborts;
+    Bump(stats_.rw_aborts);
   }
   EndTransactionCleanup();
-  ++stats_.aborts;
+  Bump(stats_.aborts);
   return Status::Ok();
 }
 
@@ -298,7 +300,7 @@ PinInfo TxCacheClient::PinNewSnapshot() {
   PinInfo pin{snap.ts, snap.wallclock};
   pincushion_->Register(pin);  // marks it in use once on our behalf
   acquired_pins_.push_back(pin);
-  ++stats_.pins_created;
+  Bump(stats_.pins_created);
   return pin;
 }
 
@@ -375,11 +377,11 @@ Result<QueryResult> TxCacheClient::ExecuteQueryInternal(
     return Status::FailedPrecondition("no active transaction");
   }
   if (state_ == TxnState::kReadWrite || state_ == TxnState::kOptimisticRw) {
-    ++stats_.db_queries;
+    Bump(stats_.db_queries);
     auto rw_result = db_->Execute(*db_txn_, query);
     if (rw_result.ok()) {
-      stats_.db_tuples_examined += rw_result.value().stats.tuples_examined;
-      stats_.db_index_probes += rw_result.value().stats.index_probes;
+      Bump(stats_.db_tuples_examined, rw_result.value().stats.tuples_examined);
+      Bump(stats_.db_index_probes, rw_result.value().stats.index_probes);
       if (state_ == TxnState::kOptimisticRw && !rw_result.value().tags.empty()) {
         // Optimistic transactions validate their engine reads too: the db vouches for the
         // result through the transaction snapshot (the engine tag-tracked the query under
@@ -400,13 +402,13 @@ Result<QueryResult> TxCacheClient::ExecuteQueryInternal(
     return st;
   }
   auto result_or = db_->Execute(*db_txn_, query);
-  ++stats_.db_queries;
+  Bump(stats_.db_queries);
   if (!result_or.ok()) {
     return result_or;
   }
   const QueryResult& result = result_or.value();
-  stats_.db_tuples_examined += result.stats.tuples_examined;
-  stats_.db_index_probes += result.stats.index_probes;
+  Bump(stats_.db_tuples_examined, result.stats.tuples_examined);
+  Bump(stats_.db_index_probes, result.stats.index_probes);
   if (options_.mode != ClientMode::kNoCache) {
     if (options_.mode == ClientMode::kConsistent) {
       // The result's validity interval contains the chosen snapshot, so narrowing cannot empty
@@ -427,7 +429,7 @@ Status TxCacheClient::Insert(const std::string& table, Row row) {
   if (state_ != TxnState::kReadWrite && state_ != TxnState::kOptimisticRw) {
     return Status::FailedPrecondition("writes require a read/write transaction");
   }
-  ++stats_.db_writes;
+  Bump(stats_.db_writes);
   return db_->Insert(*db_txn_, table, std::move(row));
 }
 
@@ -437,7 +439,7 @@ Result<size_t> TxCacheClient::Update(const std::string& table, const AccessPath&
   if (state_ != TxnState::kReadWrite && state_ != TxnState::kOptimisticRw) {
     return Status::FailedPrecondition("writes require a read/write transaction");
   }
-  ++stats_.db_writes;
+  Bump(stats_.db_writes);
   return db_->Update(*db_txn_, table, path, where, sets);
 }
 
@@ -446,7 +448,7 @@ Result<size_t> TxCacheClient::Delete(const std::string& table, const AccessPath&
   if (state_ != TxnState::kReadWrite && state_ != TxnState::kOptimisticRw) {
     return Status::FailedPrecondition("writes require a read/write transaction");
   }
-  ++stats_.db_writes;
+  Bump(stats_.db_writes);
   return db_->Delete(*db_txn_, table, path, where);
 }
 
@@ -465,22 +467,22 @@ void TxCacheClient::LookupBounds(Timestamp* lo, Timestamp* hi) const {
 }
 
 void TxCacheClient::RecordMiss(MissKind kind) {
-  ++stats_.cache_misses;
+  Bump(stats_.cache_misses);
   switch (kind) {
     case MissKind::kCompulsory:
-      ++stats_.miss_compulsory;
+      Bump(stats_.miss_compulsory);
       break;
     case MissKind::kStaleness:
-      ++stats_.miss_staleness;
+      Bump(stats_.miss_staleness);
       break;
     case MissKind::kCapacity:
-      ++stats_.miss_capacity;
+      Bump(stats_.miss_capacity);
       break;
     case MissKind::kConsistency:
-      ++stats_.miss_consistency;
+      Bump(stats_.miss_consistency);
       break;
     case MissKind::kNodeUnavailable:
-      ++stats_.miss_node_unavailable;
+      Bump(stats_.miss_node_unavailable);
       break;
     case MissKind::kNone:
       break;
@@ -568,7 +570,7 @@ void TxCacheClient::ObserveRingEpoch(uint64_t epoch) {
     // Membership moved under us: the next keys may route to different nodes. In-process the
     // refresh is implicit (routing always reads the live ring); the counter records that the
     // client re-routed instead of erroring.
-    ++stats_.ring_epoch_changes;
+    Bump(stats_.ring_epoch_changes);
   }
 }
 
@@ -599,14 +601,14 @@ Result<TxCacheClient::CachedValue> TxCacheClient::CacheLookup(const std::string&
     // Exact narrowing against the actual pin set (the server only checked bounds). An empty
     // intersection means using this value could break serializability: treat it as a miss.
     if (!pin_set_.NarrowTo(resp.interval)) {
-      ++stats_.pin_set_rejects;
+      Bump(stats_.pin_set_rejects);
       RecordMiss(MissKind::kConsistency);
       return Status::NotFound("cache hit rejected by pin set");
     }
   }
   PropagateToFrames(resp.interval, resp.tags_ref());
-  ++stats_.cache_hits;
-  stats_.saved_recompute_cost_us += resp.fill_cost_us;
+  Bump(stats_.cache_hits);
+  Bump(stats_.saved_recompute_cost_us, resp.fill_cost_us);
   return std::move(resp.value);  // zero-copy: hand the resident-buffer alias to the caller
 }
 
@@ -633,8 +635,8 @@ std::vector<Result<TxCacheClient::CachedValue>> TxCacheClient::CacheMultiLookup(
     req.lookups[i].bounds_hi = hi;
     req.lookups[i].fresh_lo = pin_set_.BoundsLo();
   }
-  ++stats_.multi_lookup_batches;
-  stats_.multi_lookup_keys += keys.size();
+  Bump(stats_.multi_lookup_batches);
+  Bump(stats_.multi_lookup_keys, keys.size());
   auto resp_or = cache_->MultiLookup(req);
   if (!resp_or.ok()) {
     // Whole-fleet outage (empty ring): every position degrades to a miss and the caller
@@ -658,14 +660,14 @@ std::vector<Result<TxCacheClient::CachedValue>> TxCacheClient::CacheMultiLookup(
       continue;
     }
     if (options_.mode == ClientMode::kConsistent && !pin_set_.NarrowTo(resp.interval)) {
-      ++stats_.pin_set_rejects;
+      Bump(stats_.pin_set_rejects);
       RecordMiss(MissKind::kConsistency);
       out.push_back(Result<CachedValue>(Status::NotFound("cache hit rejected by pin set")));
       continue;
     }
     PropagateToFrames(resp.interval, resp.tags_ref());
-    ++stats_.cache_hits;
-    stats_.saved_recompute_cost_us += resp.fill_cost_us;
+    Bump(stats_.cache_hits);
+    Bump(stats_.saved_recompute_cost_us, resp.fill_cost_us);
     out.push_back(Result<CachedValue>(std::move(resp.value)));
   }
   return out;
@@ -688,20 +690,20 @@ Result<TxCacheClient::CachedValue> TxCacheClient::RwCacheLookup(const std::strin
   ObserveRingEpoch(resp.ring_epoch);
   ObserveHints(key, function, resp.served_by, resp.hints);
   if (!resp.hit) {
-    ++stats_.cache_misses;
+    Bump(stats_.cache_misses);
     return Status::NotFound("cache miss");
   }
-  ++stats_.cache_hits;
-  stats_.saved_recompute_cost_us += resp.fill_cost_us;
+  Bump(stats_.cache_hits);
+  Bump(stats_.saved_recompute_cost_us, resp.fill_cost_us);
   return std::move(resp.value);
 }
 
 void TxCacheClient::FrameBegin() {
   Frame frame;
   frame.started_wall = clock_->Now();
-  frame.start_db_queries = stats_.db_queries.load(std::memory_order_relaxed);
-  frame.start_db_tuples = stats_.db_tuples_examined.load(std::memory_order_relaxed);
-  frame.start_db_probes = stats_.db_index_probes.load(std::memory_order_relaxed);
+  frame.start_db_queries = stats_.db_queries;
+  frame.start_db_tuples = stats_.db_tuples_examined;
+  frame.start_db_probes = stats_.db_index_probes;
   frames_.push_back(std::move(frame));
 }
 
@@ -716,16 +718,14 @@ FrameOutcome TxCacheClient::FrameEnd() {
   // frame. A nested frame's work is deliberately included in its parent — recomputing the
   // parent really does redo the child's work (or re-fetch it, which the weights approximate).
   const WallClock elapsed = clock_->Now() - frame.started_wall;
-  const uint64_t dq = stats_.db_queries.load(std::memory_order_relaxed) - frame.start_db_queries;
-  const uint64_t dt =
-      stats_.db_tuples_examined.load(std::memory_order_relaxed) - frame.start_db_tuples;
-  const uint64_t dp =
-      stats_.db_index_probes.load(std::memory_order_relaxed) - frame.start_db_probes;
+  const uint64_t dq = stats_.db_queries - frame.start_db_queries;
+  const uint64_t dt = stats_.db_tuples_examined - frame.start_db_tuples;
+  const uint64_t dp = stats_.db_index_probes - frame.start_db_probes;
   outcome.fill_cost_us =
       static_cast<uint64_t>(std::max<WallClock>(elapsed, 0)) +
-      dq * static_cast<uint64_t>(options_.fill_cost_per_query) +
-      dt * static_cast<uint64_t>(options_.fill_cost_per_tuple) +
-      dp * static_cast<uint64_t>(options_.fill_cost_per_probe);
+      dq * static_cast<uint64_t>(kFillCostPerQuery) +
+      dt * static_cast<uint64_t>(kFillCostPerTuple) +
+      dp * static_cast<uint64_t>(kFillCostPerProbe);
   if (chosen_ts_.has_value()) {
     outcome.computed_at = *chosen_ts_;
   } else if (pin_set_.has_pins()) {
@@ -746,10 +746,10 @@ void TxCacheClient::FrameAbandon() {
 void TxCacheClient::CacheStore(const std::string& key, std::string value,
                                const FrameOutcome& outcome, const std::string* function) {
   // Every stored-or-not fill was a recompute this client actually paid for.
-  stats_.recompute_cost_us += outcome.fill_cost_us;
+  Bump(stats_.recompute_cost_us, outcome.fill_cost_us);
   if (outcome.validity.empty()) {
     // Possible under kNoConsistency, where observations are not forced to stay consistent.
-    ++stats_.inserts_skipped;
+    Bump(stats_.inserts_skipped);
     return;
   }
   InsertRequest req;
@@ -764,20 +764,20 @@ void TxCacheClient::CacheStore(const std::string& key, std::string value,
   ObserveRingEpoch(resp.ring_epoch);
   ObserveHints(key, function, resp.served_by, resp.hints);
   if (resp.status.ok()) {
-    ++stats_.cache_inserts;
+    Bump(stats_.cache_inserts);
   } else if (resp.status.code() == StatusCode::kDeclined) {
     // The admission gate judged this function not worth its bytes right now; the recompute
     // already happened, only the store was refused.
-    ++stats_.inserts_declined;
+    Bump(stats_.inserts_declined);
   } else if (resp.status.code() == StatusCode::kDeclinedTooLarge) {
     // Size-aware refusal: the value is too big for its shard slice or lost the displacement
     // comparison. Counted separately so call sites (and their hints) can adapt fill sizing.
     // Nothing is retried — the caller already has its computed result.
-    ++stats_.inserts_declined_too_large;
+    Bump(stats_.inserts_declined_too_large);
   } else if (resp.status.code() == StatusCode::kUnavailable) {
     // The owning node is down/joining or the key was unroutable: the fill simply is not
     // cached this time (churn is a hit-rate event, not an error).
-    ++stats_.inserts_unavailable;
+    Bump(stats_.inserts_unavailable);
   }
 }
 

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -36,6 +37,7 @@
 #include "src/db/database.h"
 #include "src/pincushion/pincushion.h"
 #include "src/util/clock.h"
+#include "src/util/counters.h"
 #include "src/util/serde.h"
 
 namespace txcache {
@@ -45,7 +47,7 @@ namespace txcache {
 // kNoCache is the no-caching baseline (every call executes against the database).
 enum class ClientMode : uint8_t { kConsistent, kNoConsistency, kNoCache };
 
-struct ClientStats {
+struct ClientStats : CounterTable<ClientStats> {
   uint64_t ro_txns = 0;
   uint64_t rw_txns = 0;
   uint64_t commits = 0;
@@ -101,142 +103,27 @@ struct ClientStats {
   uint64_t rw_intent_conflicts = 0;
   uint64_t rw_intents_acquired = 0;
 
-  // Counter-wise accumulation and difference (fleet aggregation, measurement-window deltas).
-  // Kept here so the compiler owns the field list: a counter added to the struct but missed
-  // below is a local asymmetry, not a silently wrong aggregate in some distant benchmark.
-  ClientStats& operator+=(const ClientStats& o) {
-    ForEachPair(o, [](uint64_t& a, uint64_t b) { a += b; });
-    return *this;
-  }
-  ClientStats& operator-=(const ClientStats& o) {
-    ForEachPair(o, [](uint64_t& a, uint64_t b) { a -= b; });
-    return *this;
-  }
-
- private:
-  template <typename Fn>
-  void ForEachPair(const ClientStats& o, Fn fn) {
-    uint64_t ClientStats::*fields[] = {
-        &ClientStats::ro_txns, &ClientStats::rw_txns, &ClientStats::commits,
-        &ClientStats::aborts, &ClientStats::cacheable_calls, &ClientStats::bypassed_calls,
-        &ClientStats::cache_hits, &ClientStats::cache_misses, &ClientStats::miss_compulsory,
-        &ClientStats::miss_staleness, &ClientStats::miss_capacity,
-        &ClientStats::miss_consistency, &ClientStats::miss_node_unavailable,
-        &ClientStats::pin_set_rejects, &ClientStats::cache_inserts,
-        &ClientStats::inserts_skipped, &ClientStats::db_queries,
-        &ClientStats::db_tuples_examined, &ClientStats::db_index_probes,
-        &ClientStats::db_writes, &ClientStats::pins_created,
-        &ClientStats::multi_lookup_batches, &ClientStats::multi_lookup_keys,
-        &ClientStats::recompute_cost_us, &ClientStats::saved_recompute_cost_us,
-        &ClientStats::inserts_declined, &ClientStats::inserts_declined_too_large,
-        &ClientStats::inserts_unavailable, &ClientStats::ring_epoch_changes,
-        &ClientStats::rw_optimistic_txns, &ClientStats::rw_commits, &ClientStats::rw_aborts,
-        &ClientStats::rw_retries, &ClientStats::rw_intent_conflicts,
-        &ClientStats::rw_intents_acquired};
-    for (auto field : fields) {
-      fn(this->*field, o.*field);
-    }
-  }
+  // One entry per counter above; +=, -=, Snapshot() and Reset() are generated from it.
+  static constexpr uint64_t ClientStats::*kCounters[] = {
+      &ClientStats::ro_txns, &ClientStats::rw_txns, &ClientStats::commits,
+      &ClientStats::aborts, &ClientStats::cacheable_calls, &ClientStats::bypassed_calls,
+      &ClientStats::cache_hits, &ClientStats::cache_misses, &ClientStats::miss_compulsory,
+      &ClientStats::miss_staleness, &ClientStats::miss_capacity,
+      &ClientStats::miss_consistency, &ClientStats::miss_node_unavailable,
+      &ClientStats::pin_set_rejects, &ClientStats::cache_inserts,
+      &ClientStats::inserts_skipped, &ClientStats::db_queries,
+      &ClientStats::db_tuples_examined, &ClientStats::db_index_probes,
+      &ClientStats::db_writes, &ClientStats::pins_created,
+      &ClientStats::multi_lookup_batches, &ClientStats::multi_lookup_keys,
+      &ClientStats::recompute_cost_us, &ClientStats::saved_recompute_cost_us,
+      &ClientStats::inserts_declined, &ClientStats::inserts_declined_too_large,
+      &ClientStats::inserts_unavailable, &ClientStats::ring_epoch_changes,
+      &ClientStats::rw_optimistic_txns, &ClientStats::rw_commits, &ClientStats::rw_aborts,
+      &ClientStats::rw_retries, &ClientStats::rw_intent_conflicts,
+      &ClientStats::rw_intents_acquired};
 };
-
-// Atomic mirror of ClientStats. A client session is single-threaded, but its counters are
-// routinely read while the session is running (benchmarks, the simulator's monitors, the
-// stress tests) — plain uint64_t fields would make that a data race once the cache fleet is
-// under real concurrent load. Increment sites use the atomics' built-in operators (seq_cst;
-// the session thread is the only writer, readers need only atomicity); Snapshot/Reset read
-// and clear with relaxed ordering.
-struct AtomicClientStats {
-  std::atomic<uint64_t> ro_txns{0};
-  std::atomic<uint64_t> rw_txns{0};
-  std::atomic<uint64_t> commits{0};
-  std::atomic<uint64_t> aborts{0};
-  std::atomic<uint64_t> cacheable_calls{0};
-  std::atomic<uint64_t> bypassed_calls{0};
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> miss_compulsory{0};
-  std::atomic<uint64_t> miss_staleness{0};
-  std::atomic<uint64_t> miss_capacity{0};
-  std::atomic<uint64_t> miss_consistency{0};
-  std::atomic<uint64_t> miss_node_unavailable{0};
-  std::atomic<uint64_t> pin_set_rejects{0};
-  std::atomic<uint64_t> cache_inserts{0};
-  std::atomic<uint64_t> inserts_skipped{0};
-  std::atomic<uint64_t> db_queries{0};
-  std::atomic<uint64_t> db_tuples_examined{0};
-  std::atomic<uint64_t> db_index_probes{0};
-  std::atomic<uint64_t> db_writes{0};
-  std::atomic<uint64_t> pins_created{0};
-  std::atomic<uint64_t> multi_lookup_batches{0};
-  std::atomic<uint64_t> multi_lookup_keys{0};
-  std::atomic<uint64_t> recompute_cost_us{0};
-  std::atomic<uint64_t> saved_recompute_cost_us{0};
-  std::atomic<uint64_t> inserts_declined{0};
-  std::atomic<uint64_t> inserts_declined_too_large{0};
-  std::atomic<uint64_t> inserts_unavailable{0};
-  std::atomic<uint64_t> ring_epoch_changes{0};
-  std::atomic<uint64_t> rw_optimistic_txns{0};
-  std::atomic<uint64_t> rw_commits{0};
-  std::atomic<uint64_t> rw_aborts{0};
-  std::atomic<uint64_t> rw_retries{0};
-  std::atomic<uint64_t> rw_intent_conflicts{0};
-  std::atomic<uint64_t> rw_intents_acquired{0};
-
-  ClientStats Snapshot() const {
-    ClientStats s;
-    s.ro_txns = ro_txns.load(std::memory_order_relaxed);
-    s.rw_txns = rw_txns.load(std::memory_order_relaxed);
-    s.commits = commits.load(std::memory_order_relaxed);
-    s.aborts = aborts.load(std::memory_order_relaxed);
-    s.cacheable_calls = cacheable_calls.load(std::memory_order_relaxed);
-    s.bypassed_calls = bypassed_calls.load(std::memory_order_relaxed);
-    s.cache_hits = cache_hits.load(std::memory_order_relaxed);
-    s.cache_misses = cache_misses.load(std::memory_order_relaxed);
-    s.miss_compulsory = miss_compulsory.load(std::memory_order_relaxed);
-    s.miss_staleness = miss_staleness.load(std::memory_order_relaxed);
-    s.miss_capacity = miss_capacity.load(std::memory_order_relaxed);
-    s.miss_consistency = miss_consistency.load(std::memory_order_relaxed);
-    s.miss_node_unavailable = miss_node_unavailable.load(std::memory_order_relaxed);
-    s.pin_set_rejects = pin_set_rejects.load(std::memory_order_relaxed);
-    s.cache_inserts = cache_inserts.load(std::memory_order_relaxed);
-    s.inserts_skipped = inserts_skipped.load(std::memory_order_relaxed);
-    s.db_queries = db_queries.load(std::memory_order_relaxed);
-    s.db_tuples_examined = db_tuples_examined.load(std::memory_order_relaxed);
-    s.db_index_probes = db_index_probes.load(std::memory_order_relaxed);
-    s.db_writes = db_writes.load(std::memory_order_relaxed);
-    s.pins_created = pins_created.load(std::memory_order_relaxed);
-    s.multi_lookup_batches = multi_lookup_batches.load(std::memory_order_relaxed);
-    s.multi_lookup_keys = multi_lookup_keys.load(std::memory_order_relaxed);
-    s.recompute_cost_us = recompute_cost_us.load(std::memory_order_relaxed);
-    s.saved_recompute_cost_us = saved_recompute_cost_us.load(std::memory_order_relaxed);
-    s.inserts_declined = inserts_declined.load(std::memory_order_relaxed);
-    s.inserts_declined_too_large =
-        inserts_declined_too_large.load(std::memory_order_relaxed);
-    s.inserts_unavailable = inserts_unavailable.load(std::memory_order_relaxed);
-    s.ring_epoch_changes = ring_epoch_changes.load(std::memory_order_relaxed);
-    s.rw_optimistic_txns = rw_optimistic_txns.load(std::memory_order_relaxed);
-    s.rw_commits = rw_commits.load(std::memory_order_relaxed);
-    s.rw_aborts = rw_aborts.load(std::memory_order_relaxed);
-    s.rw_retries = rw_retries.load(std::memory_order_relaxed);
-    s.rw_intent_conflicts = rw_intent_conflicts.load(std::memory_order_relaxed);
-    s.rw_intents_acquired = rw_intents_acquired.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  void Reset() {
-    for (std::atomic<uint64_t>* c :
-         {&ro_txns, &rw_txns, &commits, &aborts, &cacheable_calls, &bypassed_calls,
-          &cache_hits, &cache_misses, &miss_compulsory, &miss_staleness, &miss_capacity,
-          &miss_consistency, &miss_node_unavailable, &pin_set_rejects, &cache_inserts,
-          &inserts_skipped, &db_queries, &db_tuples_examined, &db_index_probes, &db_writes,
-          &pins_created, &multi_lookup_batches, &multi_lookup_keys, &recompute_cost_us,
-          &saved_recompute_cost_us, &inserts_declined, &inserts_declined_too_large,
-          &inserts_unavailable, &ring_epoch_changes, &rw_optimistic_txns, &rw_commits,
-          &rw_aborts, &rw_retries, &rw_intent_conflicts, &rw_intents_acquired}) {
-      c->store(0, std::memory_order_relaxed);
-    }
-  }
-};
+static_assert(sizeof(ClientStats) == std::size(ClientStats::kCounters) * sizeof(uint64_t),
+              "every ClientStats counter needs an entry in ClientStats::kCounters");
 
 // Validity/tag accumulation for one cacheable function on the call stack (§6.3), plus the
 // fill-cost meter: FrameBegin stamps the wall clock and the database work counters, FrameEnd
@@ -272,13 +159,6 @@ class TxCacheClient {
     // may return a value that predates the transaction's own uncommitted writes. Results of
     // cacheable functions executed inside RW transactions are still never stored.
     bool allow_rw_cache_reads = false;
-    // Fill-cost weights: a frame's cost is its wall-clock elapsed time plus these per-unit
-    // charges for the database work it performed. The wall term captures real deployments; the
-    // weighted term keeps costs meaningful under the simulator, whose virtual clock does not
-    // advance while application code runs. Defaults mirror sim::CostModel.
-    WallClock fill_cost_per_query = Millis(0.12);
-    WallClock fill_cost_per_tuple = Millis(0.004);
-    WallClock fill_cost_per_probe = Millis(0.015);
 
     // --- optimistic read-write transactions (BeginRw / RunRwTransaction) ---
     // Abort-and-retry budget of RunRwTransaction: after this many conflict aborts the last
@@ -410,8 +290,8 @@ class TxCacheClient {
   void FrameAbandon();
   void CacheStore(const std::string& key, std::string value, const FrameOutcome& outcome,
                   const std::string* function = nullptr);
-  void CountCacheableCall() { ++stats_.cacheable_calls; }
-  void CountBypassedCall() { ++stats_.bypassed_calls; }
+  void CountCacheableCall() { Bump(stats_.cacheable_calls); }
+  void CountBypassedCall() { Bump(stats_.bypassed_calls); }
 
   // Merged advisory hints observed from the cache fleet for a MAKE-CACHEABLE function
   // (updated from Lookup/Insert responses; see AdvisoryHints for what a caller may and may
@@ -502,7 +382,8 @@ class TxCacheClient {
   uint64_t rw_intent_token_ = 0;
   uint64_t rw_backoff_state_ = 0;
 
-  AtomicClientStats stats_;
+  // Written only by the session thread, through Bump(); stats() may run on any thread.
+  ClientStats stats_;
   std::atomic<uint64_t> ring_epoch_{0};  // newest membership epoch observed (0 = none yet)
 
   // Advisory hints per function, bucketed per responding node (AdvisoryHintsFor merges the

@@ -841,7 +841,11 @@ TEST(ConcurrencyStress, EightHittersRaceEvictionInvalidationTtlDemotionAndDrains
       req.key_hash = Fnv1a(req.key);
       req.value = value_for(key);
       req.interval = {1, kTimestampInfinity};
-      req.computed_at = 1;
+      // Computed as of the newest invalidation the node has applied, so the fill is stored
+      // still-valid and the stream has something left to truncate. A fixed early computed_at
+      // would let insert-time replay cut every fill once all 8 tags had been invalidated,
+      // leaving the invalidator nothing to race.
+      req.computed_at = server.last_invalidation_ts();
       req.tags = {InvalidationTag::Concrete("t", "i", std::to_string(key % 8))};
       req.fill_cost_us = static_cast<uint64_t>(rng.Uniform(100, 3000));
       Status st = server.Insert(req);
